@@ -310,12 +310,12 @@ fn main() {
     }
     // The serving axis: an in-process jp-serve instance under the
     // deterministic loadgen mix — the same workload CI's serve-check
-    // job replays over a real socket. Dispatch is single-threaded so
-    // the memo/solver counters and the end-of-run `serve.*` totals are
-    // exact invariants of the workload; the `par.*` span families are
-    // stripped because how requests clump into dispatch batches
-    // depends on arrival timing, not on work done. The `serve.request`
-    // span values stay: they are the serve-latency axis.
+    // job replays over a real socket. The default single solve permit
+    // makes solves strictly serial, so the memo/solver counters and
+    // the end-of-run `serve.*` totals are exact invariants of the
+    // workload; the `par.*` span families are stripped because they
+    // are scheduling, not work done. The `serve.request` span values
+    // stay: they are the serve-latency axis.
     if want("serve_loadgen") {
         let pool = jp_serve::loadgen::query_pool(8);
         let edges: u64 = pool.iter().map(|g| g.edge_count() as u64).sum();

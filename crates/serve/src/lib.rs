@@ -6,9 +6,9 @@
 //! a small TCP service:
 //!
 //! * [`proto`] — the versioned, length-prefixed JSON wire format;
-//! * [`server`] — the service itself: acceptor, per-connection
-//!   handlers, admission control, and a dispatcher that schedules
-//!   solver batches on the jp-par runtime over one shared
+//! * [`server`] — the service itself: acceptor, admission control,
+//!   and per-connection handlers that solve admitted jobs themselves,
+//!   at most `--threads` at once, over one shared
 //!   [`jp_pebble::memo::Memo`];
 //! * [`client`] — a blocking client;
 //! * [`loadgen`] — a deterministic Zipf-skewed workload driver with

@@ -182,14 +182,16 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Reads until `buf` holds `want` bytes. Returns `Ok(false)` when the
-/// very first read of an empty `buf` reports EOF (clean close) or a
-/// timeout (idle) — the caller distinguishes the two via `buf` still
-/// being empty plus the returned `idle` flag in [`read_frame`].
-fn fill(r: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> io::Result<Fill> {
+/// Reads until `buf` holds `want` bytes. `started` says a frame is
+/// already under way (its header has arrived). Until then, EOF or a
+/// timeout before the first byte is a clean close ([`Fill::Eof`]) or an
+/// idle connection ([`Fill::Idle`]); after it, they are a truncated
+/// frame or a stall charged to [`MAX_MID_FRAME_STALLS`].
+fn fill(r: &mut impl Read, buf: &mut Vec<u8>, want: usize, started: bool) -> io::Result<Fill> {
     let mut chunk = [0u8; 4096];
     let mut stalls = 0u32;
     while buf.len() < want {
+        let between_frames = !started && buf.is_empty();
         let need = (want - buf.len()).min(chunk.len());
         let dst = match chunk.get_mut(..need) {
             Some(d) => d,
@@ -197,7 +199,7 @@ fn fill(r: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> io::Result<Fill> {
         };
         match r.read(dst) {
             Ok(0) => {
-                return if buf.is_empty() {
+                return if between_frames {
                     Ok(Fill::Eof)
                 } else {
                     Err(io::Error::new(
@@ -212,7 +214,7 @@ fn fill(r: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> io::Result<Fill> {
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) if is_timeout(&e) => {
-                if buf.is_empty() {
+                if between_frames {
                     return Ok(Fill::Idle);
                 }
                 stalls += 1;
@@ -245,7 +247,7 @@ enum Fill {
 /// failure).
 pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
     let mut header: Vec<u8> = Vec::with_capacity(4);
-    match fill(r, &mut header, 4)? {
+    match fill(r, &mut header, 4, false)? {
         Fill::Eof => return Ok(FrameRead::Eof),
         Fill::Idle => return Ok(FrameRead::Idle),
         Fill::Full => {}
@@ -259,24 +261,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameRead> {
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
+    // the header arrived, so the frame has started: fill either
+    // completes the payload or errors (truncated or stalled)
     let mut payload: Vec<u8> = Vec::with_capacity(len);
-    loop {
-        match fill(r, &mut payload, len)? {
-            Fill::Full => return Ok(FrameRead::Frame(payload)),
-            Fill::Eof if len == 0 => return Ok(FrameRead::Frame(payload)),
-            Fill::Eof => {
-                // the header arrived but the peer closed before the
-                // first payload byte: a truncated frame, not a message
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            // the header already arrived, so the frame has started:
-            // keep waiting for the payload under fill's stall budget
-            Fill::Idle => {}
-        }
-    }
+    fill(r, &mut payload, len, true)?;
+    Ok(FrameRead::Frame(payload))
 }
 
 /// Writes one length-prefixed frame and flushes it.
@@ -372,6 +361,38 @@ mod tests {
         let mut r = io::Cursor::new(buf);
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_peer_silent_after_the_header_times_out_within_the_stall_budget() {
+        // Yields a 4-byte header announcing 5 payload bytes, then only
+        // read timeouts. Gives up with a non-timeout error after 10 000
+        // reads, so a reader that never charges the stall budget fails
+        // the test instead of hanging it.
+        struct Silent {
+            header: Option<[u8; 4]>,
+            timeouts: u32,
+        }
+        impl Read for Silent {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if let Some(h) = self.header.take() {
+                    buf[..4].copy_from_slice(&h);
+                    return Ok(4);
+                }
+                self.timeouts += 1;
+                if self.timeouts > 10_000 {
+                    return Err(io::Error::other("reader never gave up"));
+                }
+                Err(io::ErrorKind::WouldBlock.into())
+            }
+        }
+        let mut r = Silent {
+            header: Some(5u32.to_be_bytes()),
+            timeouts: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(r.timeouts <= MAX_MID_FRAME_STALLS + 1, "{}", r.timeouts);
     }
 
     #[test]

@@ -10,22 +10,22 @@
 //!   non-blocking listener and spawns one **handler** per connection;
 //! * each handler speaks the [`crate::proto`] frame protocol
 //!   synchronously: read a request, admit or reject it, and — for
-//!   admitted pebble jobs — block on a reply channel while the
-//!   dispatcher works;
-//! * the **dispatcher** drains the admitted-job queue in batches and
-//!   executes each batch on the jp-par runtime
-//!   ([`jp_par::run_tasks`]), so solver parallelism, work stealing,
-//!   and `par.*` telemetry are exactly the library's.
+//!   admitted pebble jobs — take one of `--threads` solve permits and
+//!   solve the job on its own thread.
+//!
+//! The permits are the only scheduler: at most `--threads` jobs solve
+//! at once, and `--threads 1` makes solves strictly serial — the
+//! deterministic mode the trace gate runs.
 //!
 //! ## Admission control
 //!
 //! A request is *rejected with a named reason* rather than queued
 //! without bound:
 //!
-//! * `--max-edges`: graphs above the size cap never enter the queue;
+//! * `--max-edges`: graphs above the size cap are never admitted;
 //! * `--max-pending`: at most this many admitted-but-unanswered jobs
-//!   exist at once (claimed with a compare-exchange, so the bound is
-//!   exact under concurrency);
+//!   (waiting for a permit or solving) exist at once, claimed with a
+//!   compare-exchange so the bound is exact under concurrency;
 //! * `--budget`: branch-and-bound requests that exhaust the node
 //!   budget are answered `Rejected`, mapping
 //!   [`PebbleError::BudgetExhausted`] to back-pressure instead of
@@ -36,13 +36,13 @@
 //! ## Telemetry
 //!
 //! Per request: a `serve.request` jp-obs span (with a
-//! `serve.queue_wait_us` counter inside it), a `serve.wire` span for
-//! the response write, and a `serve.latency_us` jp-pulse histogram
-//! (p50/p95/p99 in every pulse snapshot), plus a `serve.queue_depth`
-//! gauge from the dispatcher. When the client sent a tracing id (see
-//! [`crate::proto::Request::request`]) every one of those events — and
-//! everything the solver emits underneath them — is stamped with it,
-//! which is what `jp trace request <id>` reconstructs. At end of run
+//! `serve.queue_wait_us` counter inside it, the wait for a permit), a
+//! `serve.wire` span for the response write, and a `serve.latency_us`
+//! jp-pulse histogram (p50/p95/p99 in every pulse snapshot). When the
+//! client sent a tracing id (see [`crate::proto::Request::request`])
+//! every one of those events — and everything the solver emits
+//! underneath them — is stamped with it, which is what
+//! `jp trace request <id>` reconstructs. At end of run
 //! the server emits one deterministic set of jp-obs totals
 //! (`serve.completed_total`, `serve.cost_sum`, `serve.errors_total`,
 //! …) — these are what `jp trace check` gates as answer-class
@@ -56,13 +56,12 @@ use crate::xray::{Xray, XrayConfig};
 use jp_graph::{BipartiteGraph, ComponentMap};
 use jp_pebble::memo::{solve_with_memo_report, Memo, MemoStats};
 use jp_pebble::{exact_bb, PebbleError};
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long the acceptor sleeps when `accept` has nothing for it.
@@ -76,10 +75,6 @@ const HANDLER_READ_TIMEOUT: Duration = Duration::from_millis(50);
 /// cannot pin a handler thread forever.
 const HANDLER_WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How long the dispatcher waits on the queue condvar before
-/// re-checking the shutdown flag.
-const DISPATCH_WAIT: Duration = Duration::from_millis(100);
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -90,9 +85,9 @@ pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:7411` (`:0` for an ephemeral
     /// port, reported by [`Server::local_addr`]).
     pub addr: String,
-    /// jp-par worker threads for solver batches. 1 executes jobs
-    /// sequentially on the dispatcher thread — the deterministic mode
-    /// the trace gate runs.
+    /// Solve permits: at most this many pebble jobs solve at once, each
+    /// on its connection's handler thread. 1 makes solves strictly
+    /// serial — the deterministic mode the trace gate runs.
     pub threads: usize,
     /// Admission bound: maximum admitted-but-unanswered pebble jobs.
     pub max_pending: usize,
@@ -153,8 +148,8 @@ pub struct ServeReport {
     /// Sum of all answered costs — one number that differs if any
     /// single answer differs, which is what the trace gate wants.
     pub cost_sum: u64,
-    /// Whether the queue was empty and no job was in flight when the
-    /// dispatcher exited — i.e. shutdown drained cleanly.
+    /// Whether no admitted job was left unanswered once every handler
+    /// had joined — i.e. shutdown drained cleanly.
     pub drained: bool,
     /// Entries in the warm store at exit.
     pub memo_entries: usize,
@@ -170,33 +165,15 @@ pub struct ServeReport {
     pub xray_dropped: u64,
 }
 
-/// One admitted pebble job, queued handler → dispatcher. The reply
-/// channel closes (dispatcher side) if execution dies, so the handler
-/// always learns the outcome — a response or a closed channel, never
-/// silence.
-struct Job {
-    graph: BipartiteGraph,
-    algo: PebbleAlgo,
-    /// Client-minted tracing id, stamped into every jp-obs event the
-    /// job emits (old clients send none — the job still runs, its
-    /// events just stay unstamped).
-    request: Option<u64>,
-    /// When the handler queued the job; the gap to execution start is
-    /// the `serve.queue_wait_us` counter.
-    enqueued: Instant,
-    reply: mpsc::Sender<ResponseBody>,
-}
-
-/// State shared by acceptor, handlers, and dispatcher. All counters
+/// State shared by the acceptor and the handlers. All counters
 /// are SeqCst: this is control-plane accounting on a network service,
 /// not a solver hot loop, and the strongest ordering keeps every
 /// cross-thread invariant (admission bound, drain condition) easy to
 /// believe.
 struct Shared {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
+    permits: Permits,
     shutdown: AtomicBool,
-    /// Admitted-but-unanswered pebble jobs (queued + executing).
+    /// Admitted-but-unanswered pebble jobs (waiting + solving).
     pending: AtomicUsize,
     connections: AtomicU64,
     accepted: AtomicU64,
@@ -207,10 +184,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn new() -> Shared {
+    fn new(threads: usize) -> Shared {
         Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            permits: Permits {
+                free: Mutex::new(threads.max(1)),
+                released: Condvar::new(),
+            },
             shutdown: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
             connections: AtomicU64::new(0),
@@ -228,7 +207,6 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.available.notify_all();
     }
 
     /// Claims one pending slot iff fewer than `cap` are taken. The
@@ -249,13 +227,44 @@ impl Shared {
     }
 }
 
-/// Releases one pending slot on drop, so even a panicking solver task
-/// (contained by jp-par) cannot strand the drain condition above zero.
+/// Releases one pending slot on drop, so even a panicking solve cannot
+/// strand the drain condition above zero.
 struct PendingGuard<'a>(&'a Shared);
 
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         self.0.pending.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A counting semaphore over solve slots: `free` is how many more jobs
+/// may start solving right now.
+struct Permits {
+    free: Mutex<usize>,
+    released: Condvar,
+}
+
+impl Permits {
+    /// Blocks until a slot is free and takes it. The lock is released
+    /// before this returns, so no guard is live across the solve.
+    fn acquire(&self) -> Permit<'_> {
+        let mut free = lock(&self.free);
+        while *free == 0 {
+            free = self.released.wait(free).unwrap_or_else(|e| e.into_inner());
+        }
+        *free -= 1;
+        Permit(self)
+    }
+}
+
+/// One taken solve slot, handed back on drop (a panicking solve
+/// included).
+struct Permit<'a>(&'a Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.free) += 1;
+        self.0.released.notify_one();
     }
 }
 
@@ -270,7 +279,7 @@ pub struct Server {
 impl Server {
     /// Binds the listen socket and warms the memo store from the
     /// checkpoint file, when one is configured and present.
-    // audit:allow(obs-coverage) setup I/O — per-request spans live in execute_job/handle_conn
+    // audit:allow(obs-coverage) setup I/O — per-request spans live in execute/handle_conn
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(cfg.addr.as_str())?;
         let memo = Memo::new();
@@ -304,7 +313,7 @@ impl Server {
     /// Serves until a `Shutdown` request (or the `max_requests` bound)
     /// fires, drains in-flight work, checkpoints the memo atomically,
     /// and returns the lifetime report.
-    // audit:allow(obs-coverage) lifetime loop — emits the end-of-run counter set; per-request spans live in execute_job/handle_conn
+    // audit:allow(obs-coverage) lifetime loop — emits the end-of-run counter set; per-request spans live in execute/handle_conn
     pub fn run(self) -> io::Result<ServeReport> {
         // When a scoped obs/pulse capture is active (the bench serve
         // axis runs the server on a spawned thread inside one), join
@@ -313,7 +322,7 @@ impl Server {
         let _obs = jp_obs::adopt();
         let _pulse = jp_pulse::adopt();
         self.listener.set_nonblocking(true)?;
-        let shared = Shared::new();
+        let shared = Shared::new(self.cfg.threads);
         let cfg = &self.cfg;
         let memo = &self.memo;
         // Tail sampler: installed as the jp-obs *tap* so it rides
@@ -331,11 +340,10 @@ impl Server {
             .as_ref()
             .map(|x| jp_obs::set_tap(x.clone() as std::sync::Arc<dyn jp_obs::Sink>));
         std::thread::scope(|s| {
-            s.spawn(|| dispatch_loop(&shared, memo, cfg));
             accept_loop(&self.listener, s, &shared, memo, cfg, xray.as_deref());
         });
         drop(tap);
-        let drained = lock(&shared.queue).is_empty() && shared.pending.load(Ordering::SeqCst) == 0;
+        let drained = shared.pending.load(Ordering::SeqCst) == 0;
         let report = ServeReport {
             connections: shared.connections.load(Ordering::SeqCst),
             accepted: shared.accepted.load(Ordering::SeqCst),
@@ -401,9 +409,6 @@ fn accept_loop<'scope, 'env>(
             }
         }
     }
-    // make sure the dispatcher re-checks the flag even if no handler
-    // ever enqueued anything
-    shared.available.notify_all();
 }
 
 /// One connection: a synchronous request/response loop over the frame
@@ -453,9 +458,9 @@ fn handle_conn(
                 continue;
             }
         };
-        // Stamp every event this request causes on the handler thread
-        // with its tracing id; the dispatcher hands the id onward so
-        // solver-side events carry it too. Dropped at loop end.
+        // Stamp every event this request causes — the solve runs right
+        // here, so solver-side events included — with its tracing id.
+        // Dropped at loop end.
         let _req = jp_obs::with_request(request);
         let t0 = Instant::now();
         let reply = match body {
@@ -465,7 +470,7 @@ fn handle_conn(
                 shared.begin_shutdown();
                 ResponseBody::ShuttingDown
             }
-            RequestBody::Pebble { graph, algo } => admit(graph, algo, request, shared, cfg),
+            RequestBody::Pebble { graph, algo } => admit(&graph, algo, shared, memo, cfg),
         };
         let failed = matches!(reply, ResponseBody::Error { .. });
         let wrote = {
@@ -485,13 +490,13 @@ fn handle_conn(
     }
 }
 
-/// Admission control for one pebble request; blocks on the reply
-/// channel once the job is admitted.
+/// Admission control for one pebble request; an admitted job waits
+/// for a solve permit and is solved on the calling handler thread.
 fn admit(
-    graph: BipartiteGraph,
+    graph: &BipartiteGraph,
     algo: PebbleAlgo,
-    request: Option<u64>,
     shared: &Shared,
+    memo: &Memo,
     cfg: &ServeConfig,
 ) -> ResponseBody {
     if shared.shutting_down() {
@@ -521,31 +526,10 @@ fn admit(
         };
     }
     shared.accepted.fetch_add(1, Ordering::SeqCst);
-    let (tx, rx) = mpsc::channel();
-    {
-        let mut q = lock(&shared.queue);
-        q.push_back(Job {
-            graph,
-            algo,
-            request,
-            enqueued: Instant::now(),
-            reply: tx,
-        });
-    }
-    shared.available.notify_one();
-    match rx.recv() {
-        Ok(body) => body,
-        Err(_) => {
-            // the dispatcher dropped the job without answering (a
-            // contained solver panic); the slot was released by the
-            // job's PendingGuard — report, don't hang
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.errors", 1);
-            ResponseBody::Error {
-                reason: "the solver task died before producing an answer".to_string(),
-            }
-        }
-    }
+    let _slot = PendingGuard(shared);
+    let admitted = Instant::now();
+    let _permit = shared.permits.acquire();
+    execute(graph, algo, admitted, memo, cfg, shared)
 }
 
 /// Builds the `Stats` response from the shared counters and the warm
@@ -575,83 +559,31 @@ fn respond(stream: &mut TcpStream, id: u64, body: ResponseBody) -> io::Result<()
     w.flush()
 }
 
-/// The dispatcher: drains the admitted-job queue in batches and runs
-/// each batch on the jp-par runtime. Exits only when shutdown is
-/// flagged *and* no work is queued or in flight — that is the clean
-/// drain the report's `drained` field attests.
-fn dispatch_loop(shared: &Shared, memo: &Memo, cfg: &ServeConfig) {
-    let _obs = jp_obs::adopt();
-    let _pulse = jp_pulse::adopt();
-    loop {
-        let (depth, batch) = {
-            let mut q = lock(&shared.queue);
-            while q.is_empty() && !shared.shutting_down() {
-                let (guard, _timed_out) = shared
-                    .available
-                    .wait_timeout(q, DISPATCH_WAIT)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            let depth = q.len();
-            (depth, q.drain(..).collect::<Vec<Job>>())
-        };
-        jp_pulse::gauge_set("serve.queue_depth", depth as u64);
-        if batch.is_empty() {
-            if shared.shutting_down() && shared.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            continue;
-        }
-        // jp-par contains per-task panics but re-throws them here;
-        // catching keeps the dispatcher alive, and the dropped reply
-        // senders tell the affected handlers exactly what happened.
-        let threads = cfg.threads.max(1);
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            jp_par::run_tasks(threads, batch, |_w, job| {
-                execute_job(job, memo, cfg, shared)
-            });
-        }));
-        if run.is_err() {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            jp_pulse::counter_add("serve.errors", 1);
-        }
-        jp_pulse::gauge_set("serve.queue_depth", 0);
-    }
-}
-
-/// Executes one admitted job on a jp-par worker (or the dispatcher
-/// itself at `threads == 1`), answers the waiting handler, and does
-/// the per-request accounting.
-fn execute_job(job: Job, memo: &Memo, cfg: &ServeConfig, shared: &Shared) {
-    let _slot = PendingGuard(shared);
+/// Solves one admitted job under its permit and does the per-request
+/// accounting. A solver panic is caught here and answered `Error`, so
+/// the handler — and the server — keep serving.
+fn execute(
+    graph: &BipartiteGraph,
+    algo: PebbleAlgo,
+    admitted: Instant,
+    memo: &Memo,
+    cfg: &ServeConfig,
+    shared: &Shared,
+) -> ResponseBody {
+    let queue_wait = admitted.elapsed().as_micros().min(u64::MAX as u128) as u64;
     let t0 = Instant::now();
-    // Adopt the job's tracing id for everything the solve emits —
-    // worker threads don't inherit the handler's context, the id rides
-    // the Job itself.
-    let _req = jp_obs::with_request(job.request);
-    let queue_wait = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let body = {
+    let mut body = {
         let _span = jp_obs::span("serve", "request");
         jp_obs::counter("serve", "queue_wait_us", queue_wait);
-        solve_body(&job.graph, job.algo, memo, cfg)
+        std::panic::catch_unwind(AssertUnwindSafe(|| solve_body(graph, algo, memo, cfg)))
+            .unwrap_or_else(|_| ResponseBody::Error {
+                reason: "the solver panicked before producing an answer".to_string(),
+            })
     };
     let micros = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let body = match body {
-        ResponseBody::Cost {
-            cost,
-            components,
-            served,
-            fresh,
-            micros: _,
-        } => ResponseBody::Cost {
-            cost,
-            components,
-            served,
-            fresh,
-            micros,
-        },
-        other => other,
-    };
+    if let ResponseBody::Cost { micros: m, .. } = &mut body {
+        *m = micros;
+    }
     match &body {
         ResponseBody::Cost { cost, .. } => {
             shared.completed.fetch_add(1, Ordering::SeqCst);
@@ -668,18 +600,13 @@ fn execute_job(job: Job, memo: &Memo, cfg: &ServeConfig, shared: &Shared) {
         }
     }
     jp_pulse::observe("serve.latency_us", micros);
-    if job.reply.send(body).is_err() {
-        // the handler is gone (its client vanished mid-request); the
-        // answer is computed and recorded, just undeliverable
-        shared.errors.fetch_add(1, Ordering::SeqCst);
-        jp_pulse::counter_add("serve.errors", 1);
-    }
+    body
 }
 
 /// Runs the requested solver rung. Jobs solve single-threaded
-/// (`threads == 1` inside the solve): parallelism comes from jp-par
-/// running many jobs at once, and a sequential solve per job is what
-/// makes the memo counters of a fixed workload deterministic.
+/// (`threads == 1` inside the solve): parallelism comes from several
+/// handlers holding permits at once, and a sequential solve per job is
+/// what makes the memo counters of a fixed workload deterministic.
 fn solve_body(
     g: &BipartiteGraph,
     algo: PebbleAlgo,

@@ -36,7 +36,7 @@
 //! directly.
 
 use jp_obs::{Event, EventKind, Sink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,40 +59,39 @@ pub struct XrayConfig {
     pub path: PathBuf,
 }
 
-/// In-flight buffers: insertion-ordered so eviction is oldest-first.
+/// In-flight buffers, each tagged with its arrival number so eviction
+/// is oldest-first.
 #[derive(Default)]
 struct Ring {
-    order: VecDeque<u64>,
-    buf: HashMap<u64, Vec<Event>>,
+    arrivals: u64,
+    buf: HashMap<u64, (u64, Vec<Event>)>,
 }
 
 impl Ring {
     /// Buffers one event, evicting oldest requests to respect `cap`.
     /// Returns how many whole requests were evicted.
     fn push(&mut self, id: u64, event: Event, cap: usize) -> u64 {
-        if let Some(events) = self.buf.get_mut(&id) {
+        if let Some((_, events)) = self.buf.get_mut(&id) {
             events.push(event);
             return 0;
         }
         let mut evicted = 0;
-        while self.order.len() >= cap.max(1) {
-            if let Some(old) = self.order.pop_front() {
-                self.buf.remove(&old);
-                evicted += 1;
-            } else {
+        while self.buf.len() >= cap.max(1) {
+            let oldest = self.buf.iter().min_by_key(|(_, (arrival, _))| *arrival);
+            let Some(&old) = oldest.map(|(old, _)| old) else {
                 break;
-            }
+            };
+            self.buf.remove(&old);
+            evicted += 1;
         }
-        self.order.push_back(id);
-        self.buf.insert(id, vec![event]);
+        self.arrivals += 1;
+        self.buf.insert(id, (self.arrivals, vec![event]));
         evicted
     }
 
     /// Removes and returns one request's buffer, if it survived.
     fn take(&mut self, id: u64) -> Option<Vec<Event>> {
-        let events = self.buf.remove(&id)?;
-        self.order.retain(|&q| q != id);
-        Some(events)
+        self.buf.remove(&id).map(|(_, events)| events)
     }
 }
 
@@ -158,7 +157,7 @@ impl Xray {
         let (events, occupancy) = {
             let mut ring = lock(&self.ring);
             let events = ring.take(request);
-            (events, ring.order.len() as u64)
+            (events, ring.buf.len() as u64)
         };
         jp_pulse::gauge_set("xray.ring_requests", occupancy);
         let Some(events) = events else {
@@ -177,8 +176,8 @@ impl Xray {
             })
             .collect();
         // The buffer holds only this request's stamped events; a parent
-        // link reaching outside it (the dispatcher's unstamped batch
-        // span) would dangle in the sidecar file and read as a hole to
+        // link reaching outside it (an unstamped span the request ran
+        // under) would dangle in the sidecar file and read as a hole to
         // `jp trace request`. Sever those links so each flushed request
         // is self-contained and reconstructs COMPLETE on its own.
         let own_spans: std::collections::BTreeSet<u64> = kept
@@ -216,7 +215,7 @@ impl Xray {
 
 impl Sink for Xray {
     /// Buffers one request-stamped event; everything unstamped (global
-    /// totals, dispatcher telemetry) is not this sampler's business.
+    /// totals, server-lifetime telemetry) is not this sampler's business.
     // audit:allow(obs-coverage) sink callback — runs inside jp-obs dispatch, emitting from here would recurse
     fn record(&self, event: &Event) {
         let Some(id) = event.request else {
@@ -225,7 +224,7 @@ impl Sink for Xray {
         let (evicted, occupancy) = {
             let mut ring = lock(&self.ring);
             let evicted = ring.push(id, event.clone(), self.cfg.ring);
-            (evicted, ring.order.len() as u64)
+            (evicted, ring.buf.len() as u64)
         };
         if evicted > 0 {
             // race:order(monotone accounting counter, no ordering dependency)
@@ -341,7 +340,7 @@ mod tests {
             path: path.clone(),
         })
         .expect("create");
-        // root parents under an unstamped dispatcher span (seq 99, not
+        // root parents under an unstamped outer span (seq 99, not
         // buffered); the wire span parents under the root (seq 2, kept)
         let mut root = stamped(2, "serve", "request", 7);
         root.parent = Some(99);

@@ -2,12 +2,18 @@
 //! real TCP clients from the loadgen, and the acceptance criteria of
 //! the serving design checked directly — answer parity with the
 //! sequential solver under concurrency, exact admission bounds, clean
-//! drains, and a warm restart that serves from the checkpoint.
+//! drains, a warm restart that serves from the checkpoint, and solves
+//! that neither wait on unrelated work nor lose determinism when
+//! serialized.
 
+use jp_graph::BipartiteGraph;
 use jp_serve::loadgen::{expected_costs, query_pool, run_loadgen, LoadgenConfig};
-use jp_serve::proto::{PebbleAlgo, Request, RequestBody, ResponseBody, WIRE_VERSION};
+use jp_serve::proto::{self, PebbleAlgo, Request, RequestBody, ResponseBody, WIRE_VERSION};
 use jp_serve::{Client, ServeConfig, ServeReport, Server};
+use std::io::{self, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
 /// spawned thread; returns the address and the join handle.
@@ -64,6 +70,121 @@ fn concurrent_load_gets_sequential_answers_and_a_clean_drain() {
         served.drained,
         "shutdown must drain in-flight work: {served:?}"
     );
+}
+
+#[test]
+fn serial_solves_give_identical_counters_run_to_run() {
+    // `threads: 1` is the mode the CI trace gate replays: with solves
+    // strictly serial, the warm-store counters and the answers of a
+    // fixed workload cannot depend on how the 4 clients interleave.
+    let run = || {
+        let (addr, handle) = start_server(ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        });
+        let report = run_loadgen(&LoadgenConfig {
+            addr,
+            shutdown: true,
+            ..LoadgenConfig::default()
+        })
+        .expect("loadgen run");
+        assert_eq!(report.mismatches, 0, "{report:?}");
+        assert_eq!(report.ok, report.sent, "{report:?}");
+        handle.join().expect("server thread").expect("server run")
+    };
+    let (first, second) = (run(), run());
+    assert!(first.memo.misses > 0 && first.memo.hits > 0, "{first:?}");
+    assert_eq!(first.memo, second.memo);
+    assert_eq!(first.cost_sum, second.cost_sum);
+}
+
+/// `copies` disjoint spiders with `legs` legs each: one graph whose
+/// exact branch-and-bound solve searches every component in turn, so
+/// its service time grows linearly with `copies`.
+fn spider_forest(legs: u32, copies: u32) -> BipartiteGraph {
+    let spider = jp_graph::generators::spider(legs);
+    let (l, r) = (spider.left_count(), spider.right_count());
+    let edges = (0..copies)
+        .flat_map(|c| {
+            spider
+                .edges()
+                .iter()
+                .map(move |&(a, b)| (a + c * l, b + c * r))
+        })
+        .collect();
+    BipartiteGraph::new(l * copies, r * copies, edges)
+}
+
+/// The server-side service time of a `Cost` answer.
+fn service_us(body: &ResponseBody) -> u64 {
+    match body {
+        ResponseBody::Cost { micros, .. } => *micros,
+        other => panic!("expected a cost, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_long_solve_does_not_hold_up_a_short_one() {
+    let (addr, handle) = start_server(ServeConfig {
+        threads: 2,
+        max_edges: 1 << 20,
+        ..ServeConfig::default()
+    });
+    let short = || RequestBody::Pebble {
+        graph: jp_graph::generators::complete_bipartite(3, 4), // recognized
+        algo: PebbleAlgo::Auto,
+    };
+    let mut b = Client::connect(addr.as_str()).expect("connect B");
+    b.request(short()).expect("warm-up request on B");
+
+    // connection A: a long exact solve, framed by hand so its reply
+    // can stay unread while B is served
+    let mut a = TcpStream::connect(addr.as_str()).expect("connect A");
+    let long = Request {
+        v: WIRE_VERSION,
+        id: 1,
+        request: None,
+        body: RequestBody::Pebble {
+            graph: spider_forest(14, 600),
+            algo: PebbleAlgo::Bb,
+        },
+    };
+    let mut frame = Vec::new();
+    proto::write_message(&mut frame, &long).expect("encode A");
+    let parse = Instant::now();
+    proto::parse_request(&frame[4..]).expect("parse A");
+    let parse = parse.elapsed();
+    a.write_all(&frame).expect("send A");
+    // Give the server time to read and parse A (twice the parse time
+    // measured here) and start solving it, so B arrives mid-solve: a
+    // server that ran A as a batch would now hold B until A finished.
+    // The pause cannot make an inline-solving server fail: B gets the
+    // second permit whenever it arrives.
+    std::thread::sleep(Duration::from_millis(10) + 2 * parse);
+
+    let answered_b = b.request(short()).expect("request on B").body;
+    let b_us = service_us(&answered_b);
+    a.set_nonblocking(true).expect("nonblocking A");
+    match a.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+        other => panic!("A was answered before B: {other:?}"),
+    }
+    a.set_nonblocking(false).expect("blocking A");
+    a.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout A");
+    let payload = match proto::read_frame(&mut a).expect("read A") {
+        proto::FrameRead::Frame(p) => p,
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    let a_us = service_us(&proto::parse_response(&payload).expect("parse A").body);
+    assert!(
+        a_us >= 100 * b_us.max(1),
+        "A must be a long solve next to B: {a_us} µs vs {b_us} µs"
+    );
+
+    let _ = b.request(RequestBody::Shutdown).expect("shutdown");
+    let served = handle.join().expect("server thread").expect("server run");
+    assert_eq!((served.completed, served.errors), (3, 0), "{served:?}");
 }
 
 #[test]
